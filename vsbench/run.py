@@ -2,7 +2,7 @@
 """Builds ViewSeeker and the benchmark harness from source, then runs one
 workload.
 
-    python3 vsbench/run.py --workload hot-turns --seed 1 --seconds 10 --trace 0
+    python3 vsbench/run.py --workload hot-turns --seed 1 --seconds 20 --trace 0
 
 Run it from the root of a checkout. Build output goes to standard error;
 standard output ends with the harness's one-line JSON result. Builds land in
@@ -35,7 +35,7 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True, choices=WORKLOADS)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=10)
+    p.add_argument("--seconds", type=int, default=20)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     a = p.parse_args()
 

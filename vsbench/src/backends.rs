@@ -116,14 +116,17 @@ impl Backend for HttpBackend {
         view_refs(&parse(&r.body)?)
     }
 
-    fn append(&mut self, dataset: &str, csv: &str) -> OpResult<u64> {
+    fn append(&mut self, dataset: &str, csv: &str) -> OpResult<(u64, u64)> {
         let r = self
             .writer
             .as_mut()
             .unwrap_or(&mut self.conn)
             .call("POST", &format!("/datasets/{dataset}/rows"), csv.as_bytes())
             .map_err(|e| e.to_string())?;
-        field_u64(&parse(&r.body)?, "total_rows")
+        let v = parse(&r.body)?;
+        let updated = field_u64(&v, "sessions_updated")?;
+        let merged = field_u64(&v, "sessions_merged")?;
+        Ok((field_u64(&v, "total_rows")?, updated.saturating_sub(merged)))
     }
 
     fn dataset_rows(&mut self, dataset: &str) -> OpResult<u64> {
@@ -342,10 +345,11 @@ impl Backend for InProcBackend {
             .collect()
     }
 
-    fn append(&mut self, dataset: &str, csv: &str) -> OpResult<u64> {
+    fn append(&mut self, dataset: &str, csv: &str) -> OpResult<(u64, u64)> {
+        // Sessions here hold their own table; nothing absorbs the rows.
         self.catalog
             .append_csv_bytes(dataset, csv.as_bytes())
-            .map(|o| o.total_rows)
+            .map(|o| (o.total_rows, 0))
             .map_err(|e| e.to_string())
     }
 

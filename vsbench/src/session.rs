@@ -6,6 +6,8 @@
 use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
 
+use viewseeker_dataset::DEFAULT_GROUP_ROWS;
+
 use crate::checks;
 use crate::data::{Dataset, Dq};
 use crate::views::{precision_at_k, Oracle, ViewDef, AGGREGATES};
@@ -47,8 +49,10 @@ pub trait Backend {
     /// Labels `view`; returns the session's label count.
     fn feedback(&mut self, sid: &str, view: usize, score: f64) -> OpResult<usize>;
     fn recommend(&mut self, sid: &str, k: usize) -> OpResult<Vec<ViewRef>>;
-    /// Appends CSV rows; returns the dataset's row count after.
-    fn append(&mut self, dataset: &str, csv: &str) -> OpResult<u64>;
+    /// Appends CSV rows; returns the dataset's row count after and how
+    /// many live sessions the program rebuilt over the whole table (rather
+    /// than folding the new rows into their aggregates).
+    fn append(&mut self, dataset: &str, csv: &str) -> OpResult<(u64, u64)>;
     /// The dataset's row count as the program reports it.
     fn dataset_rows(&mut self, dataset: &str) -> OpResult<u64>;
     fn delete(&mut self, sid: &str) -> OpResult<()>;
@@ -126,6 +130,10 @@ pub struct Tally {
     /// Time spent in checks and in the simulated user, excluded from
     /// throughput.
     pub check_s: f64,
+    /// Row groups the program's zone-map passes must account for: the
+    /// table's row-group count at every create, and at every append that
+    /// rebuilt a live session.
+    pub rowgroups: u64,
 }
 
 impl Tally {
@@ -162,6 +170,7 @@ impl Tally {
             }
         }
         self.check_s += o.check_s;
+        self.rowgroups += o.rowgroups;
     }
 }
 
@@ -180,6 +189,8 @@ pub struct Prepared {
     pub dataset: usize,
     pub name: String,
     pub sql: String,
+    /// Row groups of the dataset when the session is created.
+    pub rowgroups: u64,
     pub labels: usize,
     /// The hidden utility of every view.
     pub utility: Vec<f64>,
@@ -199,6 +210,7 @@ pub fn prepare(owned: &mut [Owned], plans: &[Plan]) -> Vec<Prepared> {
             let own = &mut owned[plan.dataset];
             let dq_rows = plan.dq.rows(&own.ds);
             let utility = own.oracle.utilities(&own.ds, &dq_rows);
+            let rowgroups = row_groups(own.ds.rows() as u64);
             let append = (plan.append_rows > 0).then(|| {
                 let from = own.ds.grow(plan.append_rows, true);
                 (own.ds.csv(from, own.ds.rows()), own.ds.rows() as u64)
@@ -207,6 +219,7 @@ pub fn prepare(owned: &mut [Owned], plans: &[Plan]) -> Vec<Prepared> {
                 dataset: plan.dataset,
                 name: own.ds.name.clone(),
                 sql: plan.dq.sql(&own.ds),
+                rowgroups,
                 labels: plan.labels,
                 scores: crate::views::labels(&utility),
                 utility,
@@ -214,6 +227,12 @@ pub fn prepare(owned: &mut [Owned], plans: &[Plan]) -> Vec<Prepared> {
             }
         })
         .collect()
+}
+
+/// Row groups of a table of `rows` rows.
+#[must_use]
+pub fn row_groups(rows: u64) -> u64 {
+    rows.div_ceil(DEFAULT_GROUP_ROWS as u64)
 }
 
 fn ms(t: Instant) -> f64 {
@@ -241,6 +260,7 @@ pub fn run_session<B: Backend>(
     let (sid, reported) = r.map_err(|e| t.fail(format!("create: {e}")))?;
     t.create_ms.push(ms(started));
     t.request_us += started.elapsed().as_secs_f64() * 1e6;
+    t.rowgroups += s.rowgroups;
     t.check(checks::view_count(reported, views));
 
     let mut labelled = HashSet::new();
@@ -303,9 +323,10 @@ pub fn run_session<B: Backend>(
         let started = Instant::now();
         let r = b.append(&s.name, csv);
         t.ops.record("append", &r);
-        let total = r.map_err(|e| t.fail(format!("append: {e}")))?;
+        let (total, rebuilt) = r.map_err(|e| t.fail(format!("append: {e}")))?;
         t.append_ms.push(ms(started));
         t.request_us += started.elapsed().as_secs_f64() * 1e6;
+        t.rowgroups += rebuilt * row_groups(total);
         t.check(checks::append_rows(total, *sent));
         let started = Instant::now();
         let r = b.dataset_rows(&s.name);

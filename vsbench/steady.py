@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Steadiness check: runs one workload N times, one seed each, and prints
-every metric's median, quartiles and spread.
+"""Steadiness check: runs one workload N times and prints every end-to-end
+metric's median, quartiles and spread.
 
-    python3 vsbench/steady.py --workload cold-scan --runs 10 --seconds 10
+    python3 vsbench/steady.py --workload cold-scan --runs 10 --seconds 20 --seed 1
+    python3 vsbench/steady.py --workload cold-scan --runs 10 --seconds 20
 
-The spread is the distance between the first and third quartile
+With --seed every run uses that seed, so the runs have the same inputs and
+differ only by run-to-run noise; precision_at_10 must then be identical in
+every run, and the command says whether it was. Without --seed, run i uses
+seed i (1..N), so the spread also covers the inputs. The spread is the
+distance between the first and third quartile
 (statistics.quantiles(values, n=4)) as a share of the median. Its output is
 the evidence for the bounds in BENCHMARK.json. Run it from the root of a
 checkout.
@@ -20,9 +25,9 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds):
     cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
@@ -34,18 +39,19 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--seconds", type=int, default=10)
-    p.add_argument("--trace", type=int, default=0)
-    p.add_argument("--first-seed", type=int, default=1)
+    p.add_argument("--seconds", type=int, default=20)
+    p.add_argument("--seed", type=int, help="use this seed in every run (default: seeds 1..N)")
     a = p.parse_args()
 
+    seeds = [a.seed] * a.runs if a.seed is not None else list(range(1, a.runs + 1))
     results = []
-    for i in range(a.runs):
-        r = run_once(a.workload, a.first_seed + i, a.seconds, a.trace)
+    for seed in seeds:
+        r = run_once(a.workload, seed, a.seconds)
         results.append(r)
         share = r["failed"] / r["attempted"]
-        print(f"# seed {a.first_seed + i}: correct={r['correct']} attempted={r['attempted']} "
-              f"failed={r['failed']} ({share:.6f})", file=sys.stderr)
+        values = " ".join(f"{k}={m['value']:.4g}" for k, m in r["metrics"].items())
+        print(f"# seed {seed}: correct={r['correct']} attempted={r['attempted']} "
+              f"failed={r['failed']} ({share:.6f}) {values}", file=sys.stderr)
 
     summary = {}
     print(f"{'metric':<28} {'unit':<6} {'median':>12} {'q1':>12} {'q3':>12} {'spread':>8}")
@@ -57,10 +63,13 @@ def main():
         spread = (q3 - q1) / med if med else 0.0
         summary[name] = {"median": med, "q1": q1, "q3": q3, "spread": spread, "unit": unit}
         print(f"{name:<28} {unit:<6} {med:>12.4f} {q1:>12.4f} {q3:>12.4f} {spread:>8.4f}")
+    precisions = sorted({r["metrics"]["precision_at_10"]["value"] for r in results})
     shares = sorted({r["failed"] / r["attempted"] for r in results})
     print(f"# all correct: {all(r['correct'] for r in results)}; failed shares seen: {shares}")
+    print(f"# precision_at_10 identical in every run: {'yes' if len(precisions) == 1 else 'no'} "
+          f"({len(precisions)} distinct values)")
     print(json.dumps({"workload": a.workload, "runs": a.runs, "seconds": a.seconds,
-                      "metrics": summary}))
+                      "seeds": seeds, "metrics": summary}))
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 use std::collections::HashSet;
 
-use viewseeker_vsbench::checks;
 use viewseeker_vsbench::data::{Dataset, Dq, Kind};
 use viewseeker_vsbench::stats;
 use viewseeker_vsbench::views::{chance_precision, enumerate, precision_at_k, Oracle};
+use viewseeker_vsbench::{checks, session};
 
 #[test]
 fn wrong_view_count_is_caught() {
@@ -69,6 +69,14 @@ fn append_row_count_off_by_one_is_caught() {
 fn row_group_accounting_and_refinement_steps_are_checked() {
     assert!(checks::rowgroups(2, 14, 16).is_ok());
     assert!(checks::rowgroups(2, 13, 16).is_err());
+    // Over a run: every create of a 1M-row table accounts for 16 groups, so
+    // one group lost over 50 creates is caught.
+    assert_eq!(session::row_groups(65_536), 1);
+    assert_eq!(session::row_groups(65_537), 2);
+    let expected = 50 * session::row_groups(1_000_000);
+    assert_eq!(expected, 800);
+    assert!(checks::rowgroups(88, 712, expected).is_ok());
+    assert!(checks::rowgroups(88, 711, expected).is_err());
     assert!(checks::refinement_step(75, 69, 6).is_ok());
     assert!(checks::refinement_step(3, 0, 6).is_ok());
     assert!(checks::refinement_step(75, 70, 6).is_err());
@@ -123,11 +131,26 @@ fn tails_need_ten_samples_beyond_them() {
     assert_eq!(stats::tail_percentile(39), None);
     assert_eq!(stats::tail_percentile(40), Some(75.0));
     assert_eq!(stats::tail_percentile(100), Some(90.0));
-    assert_eq!(stats::tail_percentile(9_999), Some(99.0));
-    assert_eq!(stats::tail_percentile(10_000), Some(99.9));
+    assert_eq!(stats::tail_percentile(100_000), Some(90.0));
     let xs: Vec<f64> = (1..=100).map(f64::from).collect();
     assert_eq!(stats::percentile(&xs, 90.0), 90.0);
     assert_eq!(stats::median(&xs), 50.5);
+}
+
+#[test]
+fn blocked_tails_shrug_off_a_burst() {
+    // Too few samples for five blocks: p75 of all of them.
+    let few: Vec<f64> = (1..=60).map(f64::from).collect();
+    assert_eq!(stats::tail(&few), (75.0, 45.0));
+    // Ten blocks of 100 samples 1..=100; a stall slows two whole blocks.
+    let mut xs: Vec<f64> = (0..1000).map(|i| f64::from(i % 100 + 1)).collect();
+    assert_eq!(stats::tail(&xs), (90.0, 90.0));
+    for x in &mut xs[300..500] {
+        *x += 1000.0;
+    }
+    assert_eq!(stats::tail(&xs), (90.0, 90.0));
+    // Unblocked, the same stall moves p90 from 90 to past 1000.
+    assert!(stats::percentile(&xs, 90.0) > 1000.0);
 }
 
 #[test]
